@@ -1,0 +1,12 @@
+"""Put the program's sources and the benchmark package on the path.
+
+Run from the repository root with ``python -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (str(ROOT / "src"), str(ROOT)):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
