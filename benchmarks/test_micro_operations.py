@@ -127,6 +127,43 @@ def test_virtual_link_query_latency(benchmark, system):
     assert benchmark(query) >= 0.0
 
 
+@pytest.fixture(scope="module", params=[400, 2000], ids=["n400", "n2000"])
+def routing_system(request):
+    """Systems at the churn (N=400) and scale (N=2,000) benchmark sizes."""
+    num_nodes = request.param
+    return build_system(
+        SystemConfig(
+            num_routers=800 if num_nodes == 400 else 3200,
+            num_nodes=num_nodes,
+            deployment=EVALUATION_DEPLOYMENT,
+            seed=1,
+        )
+    )
+
+
+def test_cold_tree_annotation_latency(benchmark, routing_system):
+    """One cold depth-batched annotation pass (uplinks, levels, loss row)
+    over an already-solved shortest-path tree."""
+    router = routing_system.router
+    sources = iter(range(len(routing_system.network)))
+
+    def solved_tree():
+        source = next(sources)
+        tree = router._tree(source)
+        tree.levels = tree.level_offsets = tree.uplink = tree.loss_row = None
+        return (source,), {}
+
+    benchmark.pedantic(router._annotated, setup=solved_tree, rounds=100)
+
+
+def test_bottleneck_row_latency(benchmark, routing_system):
+    """One bottleneck-bandwidth row over an annotated tree."""
+    router = routing_system.router
+    router.virtual_link_rows(0)
+    row = benchmark(router.bottleneck_bandwidth_row, 0)
+    assert row[0] == float("inf")
+
+
 def test_phi_evaluation_latency(benchmark, system, context):
     evaluator = CompositionEvaluator(context)
     request = request_for(system, request_id=3)

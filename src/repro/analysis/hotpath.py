@@ -27,8 +27,9 @@ code        what it flags
 ``HOT505``  ``print``/``logging`` calls on the hot path (unguarded).
 ``HOT506``  marker problems: a function DEVELOPMENT.md's table names
             (compose wavefront, pruned scoring gather, incremental
-            routing patch loops) missing its ``@hot_path`` marker, or a
-            marker whose budget is not an ``O(...)`` string.
+            routing patch loops, depth-batched tree folds) missing its
+            ``@hot_path`` marker, or a marker whose budget is not an
+            ``O(...)`` string.
 ==========  =============================================================
 """
 
@@ -52,6 +53,15 @@ REQUIRED_HOT_PATHS: Dict[Tuple[str, str], str] = {
     ),
     ("repro.topology.routing", "OverlayRouter.set_down_links"): (
         "the incremental-routing link-churn patch loop"
+    ),
+    ("repro.topology.routing", "OverlayRouter._annotated"): (
+        "the depth-batched uplink/loss fold"
+    ),
+    ("repro.topology.routing", "OverlayRouter.bottleneck_bandwidth_row"): (
+        "the depth-batched bottleneck fold"
+    ),
+    ("repro.topology.neighborhood", "NeighborhoodIndex.stale_bottleneck_row"): (
+        "the depth-batched neighbourhood bottleneck fold"
     ),
 }
 

@@ -2,8 +2,9 @@
 
 The scale curve's remaining superlinearity (BENCH_scale.json, PR 6) comes
 from per-source *full-row* routing work: every fresh upstream node costs
-one whole-graph Dijkstra plus three O(N) row passes (`_annotated`, the
-bottleneck-bandwidth fold) even though a probing level only ever commits
+one whole-graph Dijkstra plus two depth-batched folds over all N
+destinations (the `_annotated` uplink/loss rows and the
+bottleneck-bandwidth row) even though a probing level only ever commits
 to a handful of nearby candidates.  Asaduzzaman & Maheswaran and Benoit
 et al. (PAPERS.md) observe that mapping quality survives when each step
 considers only a resource's *network neighbourhood* — which is exactly
@@ -67,7 +68,8 @@ from repro.model.component_graph import VirtualLinkPath
 from repro.model.lru import LRUDict
 from repro.model.qos import MetricKind, QoSVector
 from repro.observability import NULL_RECORDER, Recorder
-from repro.topology.routing import OverlayRouter
+from repro.observability.hotpath import hot_path
+from repro.topology.routing import OverlayRouter, fold_bottleneck, tree_levels
 
 #: ``SystemConfig.candidate_prune_k`` accepts ``None`` (full scan), the
 #: string ``"auto"``, or an explicit positive neighbourhood size.
@@ -123,6 +125,8 @@ class NeighborhoodEntry:
         "loss",
         "uplink",
         "parent_pos",
+        "levels",
+        "level_offsets",
         "bw_link_version",
         "bw_row",
     )
@@ -150,6 +154,11 @@ class NeighborhoodEntry:
         sort = np.argsort(members, kind="stable")
         self.members_sorted = members[sort]
         self.sorted_to_pos = sort
+        #: member positions 1.. grouped by tree depth (narrow dtype), built
+        #: on the first bottleneck fold (see
+        #: :func:`repro.topology.routing.tree_levels`)
+        self.levels: Optional[np.ndarray] = None
+        self.level_offsets: Optional[np.ndarray] = None
         #: stale bottleneck-bandwidth row over the members, valid for one
         #: global-state link version (lazily filled by the scorer)
         self.bw_link_version = -1
@@ -194,6 +203,10 @@ class NeighborhoodEntry:
             + self.uplink.nbytes
             + self.parent_pos.nbytes
         )
+        if self.levels is not None:
+            total += self.levels.nbytes
+        if self.level_offsets is not None:
+            total += self.level_offsets.nbytes
         if self.bw_row is not None:
             total += self.bw_row.nbytes
         return int(total)
@@ -480,28 +493,42 @@ class NeighborhoodIndex:
 
     # -- queries -----------------------------------------------------------
 
+    @hot_path(budget="O(height × k)")
     def stale_bottleneck_row(
         self, entry: NeighborhoodEntry, link_available_kbps: np.ndarray, link_version: int
     ) -> np.ndarray:
         """Bottleneck bandwidth from the entry's source to each member.
 
-        One O(k) fold down the bounded tree in settle order (parents
-        settle first) — the member-restricted twin of
+        One numpy pass per depth of the bounded tree (the members grouped
+        by depth once per entry) — the member-restricted twin of
         :meth:`OverlayRouter.bottleneck_bandwidth_row`, min-folding the
-        identical link values so member figures match byte-for-byte.
-        Cached on the entry for one global-state link version.
+        identical link values with the same depth-batched fold so member
+        figures match byte-for-byte.  Cached on the entry for one
+        global-state link version.
         """
         if entry.bw_row is not None and entry.bw_link_version == link_version:
             return entry.bw_row
         count = len(entry.members)
+        parent_pos = entry.parent_pos
+        levels, offsets = entry.levels, entry.level_offsets
+        if levels is None or offsets is None:
+            levels, offsets = tree_levels(parent_pos, 0, np.ones(count, dtype=bool))
+            # kept in the narrowest dtype that holds a position (uint16
+            # for k < 65,536): a quarter of int64's bytes on every cached
+            # entry, which is what peak RSS sees
+            entry.levels = levels.astype(np.min_scalar_type(count))
+            entry.level_offsets = offsets
+        else:
+            levels = levels.astype(np.intp)  # native-width indices fold faster
         row = np.empty(count)
         row[0] = np.inf
-        uplink = entry.uplink
-        parent_pos = entry.parent_pos
-        for position in range(1, count):
-            upstream = row[parent_pos[position]]
-            value = link_available_kbps[uplink[position]]
-            row[position] = value if value < upstream else upstream
+        fold_bottleneck(
+            row,
+            levels,
+            offsets,
+            parent_pos[levels],
+            link_available_kbps[entry.uplink[levels]],
+        )
         entry.bw_row = row
         entry.bw_link_version = link_version
         return row

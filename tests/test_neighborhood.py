@@ -18,6 +18,7 @@ import pytest
 
 from repro.topology.neighborhood import (
     AUTO_PRUNE_FLOOR,
+    NeighborhoodEntry,
     NeighborhoodIndex,
     resolve_prune_k,
 )
@@ -224,6 +225,29 @@ class TestBounding:
             assert loaded["entries"] > empty["entries"]
             assert loaded["total"] == sum(
                 v for k, v in loaded.items() if k != "total"
+            )
+            index.close()
+
+    def test_entry_nbytes_counts_every_array(self):
+        """Exact accounting, including the depth levels the bottleneck
+        fold builds on first use."""
+        network = random_mesh(4, num_nodes=20, extra_edges=20)
+        stale = np.full(len(network.links), 500.0)
+        with OverlayRouter(network) as router:
+            index = NeighborhoodIndex(router, k=8)
+            for source in range(6):
+                entry = index.entry(source)
+                if source % 2:
+                    index.stale_bottleneck_row(entry, stale, link_version=0)
+                    assert entry.levels is not None
+                arrays = [
+                    getattr(entry, slot)
+                    for slot in NeighborhoodEntry.__slots__
+                    if isinstance(getattr(entry, slot), np.ndarray)
+                ]
+                assert entry.nbytes() == sum(array.nbytes for array in arrays)
+            assert index.memory_footprint()["entries"] == sum(
+                entry.nbytes() for _, entry in index._entries.items()
             )
             index.close()
 

@@ -275,6 +275,30 @@ class TestMemoryFootprint:
             v for k, v in small_fp.items() if k != "total"
         )
 
+    def test_tree_footprint_is_exact(self):
+        """``trees`` is the sum of the resident trees' ``nbytes()``, and
+        each tree's ``nbytes()`` counts every array it holds — the depth
+        levels and their offsets included once annotated."""
+        network = random_mesh(9, num_nodes=14, extra_edges=10)
+        router = OverlayRouter(network, tree_cache_size=6)
+        for source in range(len(network)):
+            router.delay(source, 0)
+            if source % 2:
+                router.bottleneck_bandwidth_row(source)
+        trees = [tree for _, tree in router._trees.items()]
+        assert any(tree.levels is not None for tree in trees)
+        assert any(tree.levels is None for tree in trees)
+        for tree in trees:
+            arrays = [
+                getattr(tree, slot)
+                for slot in type(tree).__slots__
+                if isinstance(getattr(tree, slot), np.ndarray)
+            ]
+            assert tree.nbytes() == sum(array.nbytes for array in arrays)
+        assert router.memory_footprint()["trees"] == sum(
+            tree.nbytes() for tree in trees
+        )
+
     def test_global_state_footprint(self):
         network = random_mesh(6, num_nodes=12, extra_edges=8)
         footprint = GlobalStateManager(network).memory_footprint()
