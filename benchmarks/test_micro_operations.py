@@ -21,6 +21,7 @@ from repro.model.request import StreamRequest, derive_bandwidth_requirements
 from repro.model.qos import DEFAULT_QOS_SCHEMA, QoSVector
 from repro.model.resources import DEFAULT_RESOURCE_SCHEMA, ResourceVector
 from repro.simulation import SystemConfig, build_system
+from repro.topology.neighborhood import NeighborhoodIndex, resolve_prune_k
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,38 @@ def test_cold_tree_annotation_latency(benchmark, routing_system):
         return (source,), {}
 
     benchmark.pedantic(router._annotated, setup=solved_tree, rounds=100)
+
+
+def test_tree_solve_latency(benchmark, routing_system):
+    """One cold single-source shortest-path tree (the compiled scipy
+    Dijkstra behind every uncached router source)."""
+    router = routing_system.router
+    sources = iter(range(len(routing_system.network)))
+
+    def evicted_source():
+        source = next(sources)
+        router._trees.pop(source, None)
+        return (source,), {}
+
+    tree = benchmark.pedantic(router._tree, setup=evicted_source, rounds=100)
+    assert tree.distances[tree.source] == 0.0
+
+
+def test_neighborhood_solve_latency(benchmark, routing_system):
+    """One cold bounded neighbourhood tree at the ``"auto"`` size, solved
+    in a sweep over the sources (each fresh to the index, so the radius
+    comes only from neighbours solved before it)."""
+    network = routing_system.network
+    k = resolve_prune_k("auto", len(network))
+    index = NeighborhoodIndex(routing_system.router, k=k)
+    sources = iter(range(len(network)))
+
+    def fresh_source():
+        return (next(sources), k), {}
+
+    entry = benchmark.pedantic(index._solve, setup=fresh_source, rounds=100)
+    assert len(entry) == k
+    index.close()
 
 
 def test_bottleneck_row_latency(benchmark, routing_system):

@@ -27,7 +27,8 @@ code        what it flags
 ``HOT505``  ``print``/``logging`` calls on the hot path (unguarded).
 ``HOT506``  marker problems: a function DEVELOPMENT.md's table names
             (compose wavefront, pruned scoring gather, incremental
-            routing patch loops, depth-batched tree folds) missing its
+            routing patch loops, depth-batched tree folds, neighbourhood
+            solve) missing its
             ``@hot_path`` marker, or a marker whose budget is not an
             ``O(...)`` string.
 ==========  =============================================================
@@ -62,6 +63,9 @@ REQUIRED_HOT_PATHS: Dict[Tuple[str, str], str] = {
     ),
     ("repro.topology.neighborhood", "NeighborhoodIndex.stale_bottleneck_row"): (
         "the depth-batched neighbourhood bottleneck fold"
+    ),
+    ("repro.topology.neighborhood", "NeighborhoodIndex._solve"): (
+        "the compiled radius-limited neighbourhood solve"
     ),
 }
 

@@ -541,6 +541,9 @@ class FastScorer:
         sub: Optional[np.ndarray] = None
         entries = None
         index = None
+        # member positions of the (pruned) pool's nodes per upstream node,
+        # shared between the QoS gather and the bandwidth gather below
+        positions_of: Dict[int, np.ndarray] = {}
         if prune_k is not None:
             index = context.neighborhood_index()
             upstream_nodes = sorted(
@@ -553,12 +556,15 @@ class FastScorer:
             entries = {
                 node: index.entry(node, prune_k) for node in upstream_nodes
             }
-            union = np.unique(
-                np.concatenate(
-                    [entries[node].members_sorted for node in upstream_nodes]
-                )
-            )
-            sub = np.nonzero(np.isin(node_index, union))[0]
+            # one member lookup per upstream node over the whole table: a
+            # candidate is in the pool iff some upstream node reaches it
+            table_positions = [
+                entries[node].positions(node_index) for node in upstream_nodes
+            ]
+            reached = table_positions[0] >= 0
+            for positions in table_positions[1:]:
+                reached |= positions >= 0
+            sub = np.flatnonzero(reached)
             if len(sub) == 0:
                 empty_int = np.empty(0, dtype=np.int64)
                 empty = np.empty(0)
@@ -577,6 +583,10 @@ class FastScorer:
                     None,
                 )
             node_index = node_index[sub]
+            positions_of = {
+                node: positions[sub]
+                for node, positions in zip(upstream_nodes, table_positions)
+            }
 
         # -- probe-independent filters (stream rate, tags, liveness) ----------
         level_mask = input_rate <= table.max_input_rate
@@ -635,9 +645,6 @@ class FastScorer:
         # the row can qualify.
         accumulated_delay = None
         accumulated_loss = None
-        # member positions of the (pruned) pool's nodes per upstream node,
-        # shared between the QoS gather and the bandwidth gather below
-        positions_of: Dict[int, np.ndarray] = {}
         for predecessor in predecessors:
             format_rows = np.empty((probe_count, pool_size), dtype=bool)
             link_delay = np.empty((probe_count, pool_size))
@@ -668,10 +675,7 @@ class FastScorer:
                     # router's floats, non-members read as unreachable and
                     # fall to the isfinite mask below
                     entry = entries[upstream.node_id]
-                    pos = positions_of.get(upstream.node_id)
-                    if pos is None:
-                        pos = entry.positions(node_index)
-                        positions_of[upstream.node_id] = pos
+                    pos = positions_of[upstream.node_id]
                     inside = pos >= 0
                     safe = np.maximum(pos, 0)
                     link_delay[position] = np.where(
@@ -742,10 +746,7 @@ class FastScorer:
                     bw_row = index.stale_bottleneck_row(
                         entry, link_available, link_version
                     )
-                    pos = positions_of.get(upstream_node)
-                    if pos is None:
-                        pos = entry.positions(node_index)
-                        positions_of[upstream_node] = pos
+                    pos = positions_of[upstream_node]
                     rows[position] = np.where(
                         pos >= 0, bw_row[np.maximum(pos, 0)], -np.inf
                     )

@@ -10,34 +10,45 @@ et al. (PAPERS.md) observe that mapping quality survives when each step
 considers only a resource's *network neighbourhood* — which is exactly
 what :class:`NeighborhoodIndex` materialises:
 
-* per source, a **bounded Dijkstra** over the overlay mesh that stops
-  after ``k`` settled nodes — the ``k`` delay-nearest routers (including
-  the source itself), in settle (= nondecreasing-delay) order, with the
-  composed loss, arriving tree link, and predecessor position of each;
+* per source, a **bounded shortest-path tree**: the ``k`` delay-nearest
+  routers (including the source itself) in ``(distance, node id)``
+  order, with the composed loss, arriving tree link, and parent position
+  of each.  It comes from one compiled, **radius-limited** scipy
+  Dijkstra over the router's routing CSR.  The limit is a bound on the
+  source's ``k``-th distance that earlier solves give: its own, or a
+  live neighbour's plus the link between them (a derived value, not a
+  setting), so the solve settles about the ``k`` nearest nodes instead
+  of the whole overlay.  When the limit turns out too tight (fewer than
+  ``k`` nodes reached, after churn), the solve is repeated once without
+  one;
 * maintained **incrementally under churn** through the router's churn
   listener seam (the same dirty-set reasoning as
-  :mod:`repro.topology.routing`, specialised below);
+  :mod:`repro.topology.routing`, specialised below) — the listener is the
+  only invalidation path, so an entry it keeps is served without a solve;
 * **LRU-bounded** (``SystemConfig.neighborhood_cache_size``): resident
   memory is O(cache × k) — strictly inside PR 6's O(cache × N) contract —
   and :meth:`memory_footprint` attributes it for BENCH_scale.
 
 Determinism/byte-identity contract: overlay delays are continuous, so
 shortest paths are unique and the bounded tree is a *prefix* of the full
-tree in distance order.  Distance accumulates as ``d(v) = d(u) + w`` —
-float-for-float what scipy's Dijkstra computes — and loss composes per
-tree edge as ``1 − (1 − loss(u))(1 − w)``, the same expression
-:meth:`OverlayRouter._annotated` folds.  Every figure the index answers
-for a member (delay, loss, path links, bottleneck bandwidth) is therefore
-byte-identical to the full router's answer, which is what makes pruned
-candidate scoring decision-identical to the full scan whenever
-``k >= N`` (``tests/test_fastscore_pruned.py``).
+tree in distance order.  The limited solve is the router's own solve —
+the same CSR walked directed (it is symmetric), the same
+``d(v) = d(u) + w`` accumulation — so member distances and predecessors
+are the full solve's floats and nodes, whatever the limit.  Loss
+composes per tree edge with :func:`~repro.topology.routing.fold_loss`,
+the fold :meth:`OverlayRouter._annotated` runs.  Every figure the index
+answers for a member (delay, loss, path links, bottleneck bandwidth) is
+therefore byte-identical to the full router's answer, which is what makes
+pruned candidate scoring decision-identical to the full scan whenever
+``k >= N`` (``tests/test_fastscore_pruned.py``).  The heap solve this
+replaced lives on as the reference in ``tests/neighborhood_reference.py``.
 
 Churn invalidation rules (why they are sufficient):
 
 * **node crash** ``d``: a bounded tree is affected only if ``d`` is one
-  of its members — every relay of a bounded tree is itself settled
-  (a node on the unique shortest path to a settled node settles first),
-  so a non-member crash can neither break a member's path nor shrink any
+  of its members — every relay of a bounded tree is itself a member
+  (a node on the unique shortest path to a member is nearer), so a
+  non-member crash can neither break a member's path nor shrink any
   member's distance, and removing a node never brings a new node into
   the k-nearest set;
 * **node recovery** ``r``: a new path via ``r`` enters it through a
@@ -58,18 +69,22 @@ Churn invalidation rules (why they are sufficient):
 from __future__ import annotations
 
 import math
-import sys
-from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from repro.model.component_graph import VirtualLinkPath
 from repro.model.lru import LRUDict
-from repro.model.qos import MetricKind, QoSVector
+from repro.model.qos import QoSVector
 from repro.observability import NULL_RECORDER, Recorder
 from repro.observability.hotpath import hot_path
-from repro.topology.routing import OverlayRouter, fold_bottleneck, tree_levels
+from repro.topology.routing import (
+    OverlayRouter,
+    fold_bottleneck,
+    fold_loss,
+    tree_levels,
+)
 
 #: ``SystemConfig.candidate_prune_k`` accepts ``None`` (full scan), the
 #: string ``"auto"``, or an explicit positive neighbourhood size.
@@ -105,19 +120,33 @@ def resolve_prune_k(spec: PruneSpec, num_nodes: int) -> Optional[int]:
     return min(num_nodes, int(spec))
 
 
+def _nearest(nodes: np.ndarray, distances: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` of ascending ``nodes`` in ``(distance, node id)``
+    order — the order a bounded heap Dijkstra settles them in.  A
+    partition keeps every node up to the k-th distance (ties included),
+    so only about ``k`` of them go through the stable sort."""
+    if len(nodes) > k:
+        keep = distances <= np.partition(distances, k - 1)[k - 1]
+        nodes = nodes[keep]
+        distances = distances[keep]
+    return nodes[np.argsort(distances, kind="stable")[:k]]
+
+
 class NeighborhoodEntry:
     """One source's bounded shortest-path tree (its delay neighbourhood).
 
-    Parallel arrays over the ``<= k`` members in settle order —
-    ``members[0]`` is the source itself at distance 0.  ``members_sorted``
-    / ``sorted_to_pos`` support O(log k) membership and batched gathers
-    (``np.searchsorted``); the per-member arrays are O(k), never O(N).
+    Parallel arrays over the ``<= k`` members in ``(distance, node id)``
+    order — ``members[0]`` is the source itself at distance 0.
+    ``members_sorted`` / ``sorted_to_pos`` support O(log k) membership and
+    batched gathers (``np.searchsorted``); ``levels`` / ``level_offsets``
+    group member positions 1.. by tree depth for the folds (see
+    :func:`repro.topology.routing.tree_levels`), kept in the narrowest
+    dtype that holds a position.  Every array is O(k), never O(N).
     """
 
     __slots__ = (
         "source",
         "k",
-        "version",
         "members",
         "members_sorted",
         "sorted_to_pos",
@@ -135,30 +164,27 @@ class NeighborhoodEntry:
         self,
         source: int,
         k: int,
-        version: int,
         members: np.ndarray,
+        members_sorted: np.ndarray,
+        sorted_to_pos: np.ndarray,
         delay: np.ndarray,
         loss: np.ndarray,
         uplink: np.ndarray,
         parent_pos: np.ndarray,
+        levels: np.ndarray,
+        level_offsets: np.ndarray,
     ) -> None:
         self.source = source
         self.k = k
-        #: router epoch the tree was solved at (churn drops stale entries)
-        self.version = version
         self.members = members
+        self.members_sorted = members_sorted
+        self.sorted_to_pos = sorted_to_pos
         self.delay = delay
         self.loss = loss
         self.uplink = uplink
         self.parent_pos = parent_pos
-        sort = np.argsort(members, kind="stable")
-        self.members_sorted = members[sort]
-        self.sorted_to_pos = sort
-        #: member positions 1.. grouped by tree depth (narrow dtype), built
-        #: on the first bottleneck fold (see
-        #: :func:`repro.topology.routing.tree_levels`)
-        self.levels: Optional[np.ndarray] = None
-        self.level_offsets: Optional[np.ndarray] = None
+        self.levels = levels
+        self.level_offsets = level_offsets
         #: stale bottleneck-bandwidth row over the members, valid for one
         #: global-state link version (lazily filled by the scorer)
         self.bw_link_version = -1
@@ -202,11 +228,9 @@ class NeighborhoodEntry:
             + self.loss.nbytes
             + self.uplink.nbytes
             + self.parent_pos.nbytes
+            + self.levels.nbytes
+            + self.level_offsets.nbytes
         )
-        if self.levels is not None:
-            total += self.levels.nbytes
-        if self.level_offsets is not None:
-            total += self.level_offsets.nbytes
         if self.bw_row is not None:
             total += self.bw_row.nbytes
         return int(total)
@@ -242,46 +266,22 @@ class NeighborhoodIndex:
         self._entries: LRUDict[Tuple[int, int], NeighborhoodEntry] = LRUDict(
             capacity=capacity, on_evict=self._on_evicted
         )
-        # adjacency in plain-python form: tuple iteration beats repeated
-        # numpy indexing in the (python-level) bounded Dijkstra loop.
-        # Built once; links are static, liveness is filtered per solve.
-        # Link delays/losses are python floats (C doubles), so ``d + w``
-        # matches the numpy/scipy float64 accumulation bit-for-bit.
-        neighbors: List[List[Tuple[int, int, float, float]]] = [
-            [] for _ in range(len(self.network))
-        ]
-        loss_index = None
-        if self.network.links:
-            loss_index = next(
-                (
-                    index
-                    for index, kind in enumerate(
-                        self.network.links[0].qos.schema.kinds
-                    )
-                    if kind is MetricKind.MULTIPLICATIVE_LOSS
-                ),
-                None,
-            )
-        for link in self.network.links:
-            loss = (
-                float(link.qos.values[loss_index])
-                if loss_index is not None
-                else 0.0
-            )
-            edge_ab = (link.node_b, link.link_id, link.delay_ms, loss)
-            edge_ba = (link.node_a, link.link_id, link.delay_ms, loss)
-            neighbors[link.node_a].append(edge_ab)
-            neighbors[link.node_b].append(edge_ba)
-        self._neighbors: Tuple[Tuple[Tuple[int, int, float, float], ...], ...] = (
-            tuple(tuple(edges) for edges in neighbors)
-        )
-        # O(N) scratch shared by every solve, reset via the touched list;
-        # plain lists — python-level element access dominates the solve
+        #: per k, each node's k-th member distance from its last solve at
+        #: that k (inf until solved, or when fewer than k nodes were
+        #: reachable): what bounds the search radius of later solves
+        self._radii: Dict[int, np.ndarray] = {}
+        # tree edge -> link id: every link in both directions, in CSR
+        # (row, column) order, keyed row·N + column for np.searchsorted.
+        # Links are static; liveness lives in the router's matrix.
         n = len(self.network)
-        self._dist: List[float] = [math.inf] * n
-        self._done: List[bool] = [False] * n
-        self._pred_node: List[int] = [-1] * n
-        self._pred_link: List[int] = [-1] * n
+        links = self.network.links
+        count = len(links)
+        link_a = np.fromiter((link.node_a for link in links), dtype=np.int64, count=count)
+        link_b = np.fromiter((link.node_b for link in links), dtype=np.int64, count=count)
+        keys = np.concatenate((link_a * n + link_b, link_b * n + link_a))
+        order = np.argsort(keys, kind="stable")
+        self._edge_keys = keys[order]
+        self._edge_links = np.concatenate((np.arange(count), np.arange(count)))[order]
         router.add_churn_listener(self._on_churn)
 
     # -- lifecycle ---------------------------------------------------------
@@ -310,22 +310,13 @@ class NeighborhoodIndex:
             self.recorder.inc("neighborhood.evictions")
 
     def memory_footprint(self) -> Dict[str, int]:
-        """Approximate resident bytes per substructure (O(cache × k)
-        entries plus the O(N) solve scratch and O(L) adjacency)."""
+        """Resident bytes per substructure: the O(cache × k) entries, the
+        O(L) tree-edge → link-id lookup and the O(N) radius row per k."""
         entries = sum(entry.nbytes() for _, entry in self._entries.items())
-        scratch = int(
-            sys.getsizeof(self._dist)
-            + sys.getsizeof(self._done)
-            + sys.getsizeof(self._pred_node)
-            + sys.getsizeof(self._pred_link)
-        )
-        adjacency = sys.getsizeof(self._neighbors)
-        for edges in self._neighbors:
-            adjacency += sys.getsizeof(edges)
         footprint = {
             "entries": int(entries),
-            "scratch": scratch,
-            "adjacency": int(adjacency),
+            "link_ids": int(self._edge_keys.nbytes + self._edge_links.nbytes),
+            "radii": sum(int(radii.nbytes) for radii in self._radii.values()),
         }
         footprint["total"] = sum(footprint.values())
         return footprint
@@ -334,11 +325,12 @@ class NeighborhoodIndex:
 
     def entry(self, source: int, k: Optional[int] = None) -> NeighborhoodEntry:
         """The bounded tree for ``source`` (size ``k``, default the
-        configured neighbourhood), solved on demand and LRU-cached."""
+        configured neighbourhood), solved on demand and LRU-cached.  A
+        cached entry is valid until the churn listener drops it."""
         size = self.k if k is None else k
         key = (source, size)
         entry = self._entries.get(key)
-        if entry is not None and entry.version == self.router.epoch:
+        if entry is not None:
             if self.recorder.enabled:
                 self.recorder.inc("neighborhood.hit")
             return entry
@@ -349,93 +341,96 @@ class NeighborhoodIndex:
             self.recorder.inc("neighborhood.solve")
         return entry
 
+    @hot_path(budget="O(Dijkstra within the k-th radius + N)")
     def _solve(self, source: int, k: int) -> NeighborhoodEntry:
-        """Bounded Dijkstra: settle at most ``k`` nodes (source included).
+        """The ``k`` nearest nodes of ``source`` and their tree, from one
+        radius-limited compiled Dijkstra (two on a shortfall).
 
-        Mirrors the router's matrix semantics exactly: links adjacent to a
-        down node are skipped, and so are down links.  ``d(v) = d(u) + w``
-        accumulation and per-edge raw-space loss composition reproduce the
-        full solver's floats bit-for-bit on the unique shortest paths.
+        The radius is the tightest bound the index knows on the source's
+        k-th distance — its own from an earlier solve, or a live
+        neighbour's plus the link between them — and no limit when it
+        knows none.  Results never depend on it: within the radius the
+        limited solve settles exactly what the full one would.
+
+        Members are the reached nodes in ``(distance, node id)`` order,
+        cut at ``k``; parent positions come from the solve's predecessors
+        and uplinks from the tree-edge lookup.  A crashed source relays
+        nothing (the matrix drops its links), so its tree is itself alone.
         """
         router = self.router
-        down_nodes = router.down_nodes
-        down_links = router.down_links
-        filtered = bool(down_nodes) or bool(down_links)
-        dist = self._dist
-        done = self._done
-        pred_node = self._pred_node
-        pred_link = self._pred_link
-        neighbors = self._neighbors
-        infinity = math.inf
-        touched: List[int] = [source]
-
-        members: List[int] = []
-        delay: List[float] = []
-        loss: List[float] = []
-        uplink: List[int] = []
-        parent_pos: List[int] = []
-        position_of: Dict[int, int] = {}
-        loss_at: Dict[int, float] = {}
-        edge_loss_of: Dict[int, float] = {}
-
-        source_down = source in down_nodes
-        dist[source] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        while heap and len(members) < k:
-            d, node = heappop(heap)
-            if done[node]:
-                continue
-            done[node] = True
-            position = len(members)
-            position_of[node] = position
-            members.append(node)
-            delay.append(d)
-            if node == source:
-                node_loss = 0.0
-                uplink.append(-1)
-                parent_pos.append(-1)
-            else:
-                parent = pred_node[node]
-                link_id = pred_link[node]
-                node_loss = 1.0 - (1.0 - loss_at[parent]) * (
-                    1.0 - edge_loss_of[node]
+        if source in router.down_nodes:
+            members = np.array([source], dtype=np.int64)
+            delay = np.zeros(1)
+            parents = np.empty(0, dtype=np.int64)
+        else:
+            radii = self._radii.get(k)
+            if radii is None:
+                radii = self._radii[k] = np.full(len(self.network), np.inf)
+            matrix = router.matrix
+            low, high = matrix.indptr[source], matrix.indptr[source + 1]
+            # the k nearest nodes of a live neighbour t lie within
+            # w(source, t) + r_k(t) of the source, so that bounds r_k(source)
+            radius = min(
+                radii[source],
+                (matrix.data[low:high] + radii[matrix.indices[low:high]]).min(
+                    initial=np.inf
+                ),
+            )
+            distances, predecessors = dijkstra(
+                matrix,
+                directed=True,
+                indices=source,
+                return_predecessors=True,
+                limit=radius,
+            )
+            reached = np.flatnonzero(np.isfinite(distances))
+            if len(reached) < k and radius < np.inf:
+                # a radius remembered before churn (or a bound rounded
+                # below the path sum) fell short: search without one
+                distances, predecessors = dijkstra(
+                    matrix, directed=True, indices=source, return_predecessors=True
                 )
-                uplink.append(link_id)
-                parent_pos.append(position_of[parent])
-            loss_at[node] = node_loss
-            loss.append(node_loss)
-            if source_down:
-                break  # a crashed source relays nothing (matrix drops its links)
-            for other, link_id, weight, edge_loss in neighbors[node]:
-                if done[other]:
-                    continue
-                if filtered and (link_id in down_links or other in down_nodes):
-                    continue
-                through = d + weight
-                if through < dist[other]:
-                    if dist[other] == infinity:
-                        touched.append(other)
-                    dist[other] = through
-                    pred_node[other] = node
-                    pred_link[other] = link_id
-                    edge_loss_of[other] = edge_loss
-                    heappush(heap, (through, other))
+                reached = np.flatnonzero(np.isfinite(distances))
+            members = _nearest(reached, distances[reached], k)
+            delay = distances[members]
+            radii[source] = delay[-1] if len(members) == k else np.inf
+            parents = predecessors[members[1:]].astype(np.int64)
 
-        for node in touched:
-            dist[node] = infinity
-            done[node] = False
-            pred_node[node] = -1
-            pred_link[node] = -1
-
+        count = len(members)
+        sorted_to_pos = np.argsort(members, kind="stable")
+        members_sorted = members[sorted_to_pos]
+        parent_pos = np.empty(count, dtype=np.int64)
+        parent_pos[0] = -1
+        parent_pos[1:] = sorted_to_pos[np.searchsorted(members_sorted, parents)]
+        uplink = np.empty(count, dtype=np.int64)
+        uplink[0] = -1
+        edges = np.searchsorted(
+            self._edge_keys, parents * len(self.network) + members[1:]
+        )
+        uplink[1:] = self._edge_links[edges]
+        levels, offsets = tree_levels(parent_pos, 0, np.ones(count, dtype=bool))
+        loss = np.zeros(count)
+        fold_loss(
+            loss,
+            levels,
+            offsets,
+            parent_pos[levels],
+            1.0 - router.link_loss[uplink[levels]],
+        )
         return NeighborhoodEntry(
             source,
             k,
-            router.epoch,
-            np.asarray(members, dtype=np.int64),
-            np.asarray(delay, dtype=np.float64),
-            np.asarray(loss, dtype=np.float64),
-            np.asarray(uplink, dtype=np.int64),
-            np.asarray(parent_pos, dtype=np.int64),
+            members,
+            members_sorted,
+            sorted_to_pos,
+            delay,
+            loss,
+            uplink,
+            parent_pos,
+            # narrowest dtype holding a position (uint16 for k < 65,536):
+            # a quarter of int64's bytes on every cached entry
+            levels.astype(np.min_scalar_type(count)),
+            offsets,
         )
 
     # -- churn maintenance -------------------------------------------------
@@ -500,7 +495,7 @@ class NeighborhoodIndex:
         """Bottleneck bandwidth from the entry's source to each member.
 
         One numpy pass per depth of the bounded tree (the members grouped
-        by depth once per entry) — the member-restricted twin of
+        by depth when the entry is solved) — the member-restricted twin of
         :meth:`OverlayRouter.bottleneck_bandwidth_row`, min-folding the
         identical link values with the same depth-batched fold so member
         figures match byte-for-byte.  Cached on the entry for one
@@ -508,25 +503,14 @@ class NeighborhoodIndex:
         """
         if entry.bw_row is not None and entry.bw_link_version == link_version:
             return entry.bw_row
-        count = len(entry.members)
-        parent_pos = entry.parent_pos
-        levels, offsets = entry.levels, entry.level_offsets
-        if levels is None or offsets is None:
-            levels, offsets = tree_levels(parent_pos, 0, np.ones(count, dtype=bool))
-            # kept in the narrowest dtype that holds a position (uint16
-            # for k < 65,536): a quarter of int64's bytes on every cached
-            # entry, which is what peak RSS sees
-            entry.levels = levels.astype(np.min_scalar_type(count))
-            entry.level_offsets = offsets
-        else:
-            levels = levels.astype(np.intp)  # native-width indices fold faster
-        row = np.empty(count)
+        levels = entry.levels.astype(np.intp)  # native-width indices fold faster
+        row = np.empty(len(entry.members))
         row[0] = np.inf
         fold_bottleneck(
             row,
             levels,
-            offsets,
-            parent_pos[levels],
+            entry.level_offsets,
+            entry.parent_pos[levels],
             link_available_kbps[entry.uplink[levels]],
         )
         entry.bw_row = row

@@ -162,6 +162,23 @@ def fold_bottleneck(
         row[levels[low:high]] = np.where(value < upstream, value, upstream)
 
 
+def fold_loss(
+    row: np.ndarray,
+    levels: np.ndarray,
+    offsets: np.ndarray,
+    parents: np.ndarray,
+    kept: np.ndarray,
+) -> None:
+    """Fill ``row[levels[i]] = 1 − (1 − row[parents[i]]) · kept[i]`` depth by
+    depth (see :func:`tree_levels`), where ``kept`` is ``1 − loss`` of each
+    node's uplink, aligned with ``levels``.  Per element this is the
+    raw-space composition ``1 − (1 − a)(1 − b)`` a scalar walk applies per
+    tree edge, so the row is bit-identical to one."""
+    bounds = offsets.tolist()
+    for low, high in zip(bounds, bounds[1:]):
+        row[levels[low:high]] = 1.0 - (1.0 - row[parents[low:high]]) * kept[low:high]
+
+
 class _SourceTree:
     """One source's shortest-path tree plus lazily-built per-row arrays.
 
@@ -323,6 +340,18 @@ class OverlayRouter:
 
     def _on_link_bandwidth(self, link: OverlayLink) -> None:
         self._link_available[link.link_id] = link.available_kbps
+
+    @property
+    def matrix(self) -> csr_matrix:
+        """CSR routing graph for the current down sets: every live link in
+        both directions with its delay, so the matrix is symmetric.
+        Rebuilt (a new object) on every churn event; treat as read-only."""
+        return self._matrix
+
+    @property
+    def link_loss(self) -> np.ndarray:
+        """Static per-link loss rate, indexed by link id (read-only)."""
+        return self._link_loss
 
     @property
     def link_available(self) -> np.ndarray:
@@ -508,13 +537,22 @@ class OverlayRouter:
                 f"this router's limit {self._eager_max_nodes})."
             )
         self._all_distances, self._all_predecessors = dijkstra(
-            self._matrix, directed=False, return_predecessors=True
+            self._matrix, directed=True, return_predecessors=True
         )
         self._trees.clear()
         self._path_cache.clear()
         self._qos_cache.clear()
 
     def _tree(self, source: int) -> _SourceTree:
+        """``source``'s shortest-path tree, solved on first use and cached.
+
+        A cold source costs one compiled single-source scipy Dijkstra over
+        the routing CSR.  The solve is *directed*: :meth:`_build_matrix`
+        stores every live link in both directions with the same delay, so
+        the matrix is symmetric and a directed walk of it reaches the
+        same distances as an undirected one — without the transpose
+        scipy's undirected mode builds on every call.
+        """
         tree = self._trees.get(source)
         if tree is None:
             if self.recorder.enabled:
@@ -522,7 +560,7 @@ class OverlayRouter:
             if self._incremental:
                 distances, predecessors = dijkstra(
                     self._matrix,
-                    directed=False,
+                    directed=True,
                     indices=source,
                     return_predecessors=True,
                 )
@@ -563,14 +601,14 @@ class OverlayRouter:
         uplink[link_b[into_b]] = into_b
         into_a = np.flatnonzero((predecessors[link_a] == link_b) & finite[link_a])
         uplink[link_a[into_a]] = into_a
-        parents = predecessors[levels]
-        kept = 1.0 - self._link_loss[uplink[levels]]
         loss_row = np.zeros(n)
-        bounds = offsets.tolist()
-        for low, high in zip(bounds, bounds[1:]):
-            loss_row[levels[low:high]] = 1.0 - (
-                1.0 - loss_row[parents[low:high]]
-            ) * kept[low:high]
+        fold_loss(
+            loss_row,
+            levels,
+            offsets,
+            predecessors[levels],
+            1.0 - self._link_loss[uplink[levels]],
+        )
         tree.levels = levels
         tree.level_offsets = offsets
         tree.uplink = uplink

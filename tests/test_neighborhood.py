@@ -137,9 +137,11 @@ class TestBoundedTreeIdentity:
 class TestChurnMaintenance:
     def test_differential_under_random_churn(self):
         """After arbitrary node/link churn, the listener-maintained index
-        answers exactly like one built fresh against the same router."""
+        answers exactly like one built fresh against the same router, and
+        every entry the listener kept is served without a solve."""
         network = random_mesh(13, num_nodes=22, extra_edges=26)
         rng = random.Random(31)
+        kept_hits = 0
         with OverlayRouter(network) as router:
             index = NeighborhoodIndex(router, k=8)
             down_nodes: set = set()
@@ -160,14 +162,38 @@ class TestChurnMaintenance:
                     router.set_down_links(down_links)
                 fresh = NeighborhoodIndex(router, k=8)
                 for source in rng.sample(range(len(network)), 6):
+                    kept = index._entries.peek((source, 8)) is not None
+                    solves = index.solves
                     a = index.entry(source)
+                    if kept:
+                        assert index.solves == solves
+                        kept_hits += 1
                     b = fresh.entry(source)
                     assert np.array_equal(a.members, b.members)
                     assert np.array_equal(a.delay, b.delay)
                     assert np.array_equal(a.loss, b.loss)
                     assert np.array_equal(a.uplink, b.uplink)
+                    assert np.array_equal(a.parent_pos, b.parent_pos)
                 fresh.close()
             assert index.churn_drops > 0
+            assert kept_hits > 0
+            index.close()
+
+    def test_entries_kept_by_a_link_failure_are_not_resolved(self):
+        """One failed tree edge drops only the trees that use it; the next
+        pass over every source re-solves exactly those."""
+        network = random_mesh(13, num_nodes=60, extra_edges=80)
+        with OverlayRouter(network) as router:
+            index = NeighborhoodIndex(router, k=6)
+            for source in range(len(network)):
+                index.entry(source)
+            router.set_down_links({int(index.entry(0).uplink[1])})
+            kept = index.cached_entry_count
+            assert 0 < kept < len(network)
+            solves = index.solves
+            for source in range(len(network)):
+                index.entry(source)
+            assert index.solves - solves == len(network) - kept
             index.close()
 
     def test_crashed_source_yields_singleton_entry(self):
@@ -221,7 +247,7 @@ class TestBounding:
             for source in range(10):
                 index.entry(source)
             loaded = index.memory_footprint()
-            assert set(loaded) == {"entries", "scratch", "adjacency", "total"}
+            assert set(loaded) == {"entries", "link_ids", "radii", "total"}
             assert loaded["entries"] > empty["entries"]
             assert loaded["total"] == sum(
                 v for k, v in loaded.items() if k != "total"
@@ -229,8 +255,8 @@ class TestBounding:
             index.close()
 
     def test_entry_nbytes_counts_every_array(self):
-        """Exact accounting, including the depth levels the bottleneck
-        fold builds on first use."""
+        """Exact accounting, including the bottleneck row the scorer
+        caches on first use."""
         network = random_mesh(4, num_nodes=20, extra_edges=20)
         stale = np.full(len(network.links), 500.0)
         with OverlayRouter(network) as router:
@@ -239,7 +265,7 @@ class TestBounding:
                 entry = index.entry(source)
                 if source % 2:
                     index.stale_bottleneck_row(entry, stale, link_version=0)
-                    assert entry.levels is not None
+                    assert entry.bw_row is not None
                 arrays = [
                     getattr(entry, slot)
                     for slot in NeighborhoodEntry.__slots__
